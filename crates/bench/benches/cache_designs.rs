@@ -5,26 +5,27 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use fc_cache::{
-    BlockBasedCache, BoxedModel, HotPageCache, IdealCache, PageBasedCache, SubBlockCache,
+    BlockBasedCache, DramCacheModel, HotPageCache, IdealCache, PageBasedCache, SubBlockCache,
 };
+use fc_sim::DesignModel;
 use fc_types::{MemAccess, PageGeometry, Pc, PhysAddr};
 use footprint_cache::{FootprintCache, FootprintCacheConfig};
 
-fn designs() -> Vec<(&'static str, BoxedModel)> {
+fn designs() -> Vec<(&'static str, DesignModel)> {
     let geom = PageGeometry::default();
     vec![
-        ("block", Box::new(BlockBasedCache::new(64 << 20))),
-        ("page", Box::new(PageBasedCache::new(64 << 20, geom))),
-        ("subblock", Box::new(SubBlockCache::new(64 << 20, geom))),
+        ("block", BlockBasedCache::new(64 << 20).into()),
+        ("page", PageBasedCache::new(64 << 20, geom).into()),
+        ("subblock", SubBlockCache::new(64 << 20, geom).into()),
         (
             "hotpage",
-            Box::new(HotPageCache::new(64 << 20, PageGeometry::new(4096), 2)),
+            HotPageCache::new(64 << 20, PageGeometry::new(4096), 2).into(),
         ),
         (
             "footprint",
-            Box::new(FootprintCache::new(FootprintCacheConfig::new(64 << 20))),
+            FootprintCache::new(FootprintCacheConfig::new(64 << 20)).into(),
         ),
-        ("ideal", Box::new(IdealCache::new())),
+        ("ideal", IdealCache::new().into()),
     ]
 }
 

@@ -1,6 +1,6 @@
 //! Worker-utilization investigation on the designspace grid.
 //!
-//! The sweep executor claims points off a shared cursor, so a
+//! The sweep executor claims points off a shared task queue, so a
 //! well-balanced grid should keep every worker lane busy until the
 //! tail. This experiment turns the fc-obs tracer on, runs the full
 //! design registry across the workload set on a fresh engine (fresh so
@@ -92,7 +92,7 @@ pub fn observability(lab: &mut Lab) -> String {
          trace of a fresh {points}-point designspace run on {threads}\n\
          worker(s) ({wall:.2}s wall) is reduced to busy fractions: time\n\
          inside `point` spans over the run's wall interval. The shared\n\
-         cursor keeps the mean high ({mean:.0}%); the gap to 100% is the\n\
+         task queue keeps the mean high ({mean:.0}%); the gap to 100% is the\n\
          tail — workers idling after the queue empties while the last\n\
          points finish (worst lane {min:.0}%). A per-worker static\n\
          partition would show far larger spread on this heterogeneous\n\

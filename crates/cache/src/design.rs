@@ -184,47 +184,12 @@ pub struct PredictionCounters {
     pub singleton_promotions: u64,
 }
 
-/// The canonical boxed design model: every layer that stores or clones
-/// a type-erased design uses this alias. The `Send + Sync` auto-trait
-/// bounds are part of the engine contract (the parallel executor and
-/// the parallel-in-time sampler move models across threads), so a bare
-/// `Box<dyn DramCacheModel>` is almost always a mistake — it cannot
-/// enter a [`MemorySystem`](../fc_sim/struct.MemorySystem.html).
-pub type BoxedModel = Box<dyn DramCacheModel + Send + Sync>;
-
-/// Object-safe cloning for boxed design models.
-///
-/// Checkpointable simulation (the parallel-in-time sampler) needs to
-/// clone a [`BoxedModel`] without knowing the concrete type. Every
-/// `Clone + Send` model gets this for free via the blanket impl; design
-/// authors never implement it by hand — they `#[derive(Clone)]` and the
-/// supertrait bound is satisfied.
-pub trait CloneModel {
-    /// Clones the model behind a fresh box.
-    fn clone_model(&self) -> BoxedModel;
-}
-
-impl<T: DramCacheModel + Clone + Send + Sync + 'static> CloneModel for T {
-    fn clone_model(&self) -> BoxedModel {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for BoxedModel {
-    fn clone(&self) -> Self {
-        self.clone_model()
-    }
-}
-
 /// A die-stacked DRAM cache design.
 ///
 /// Implementations are purely functional models: they maintain their own
 /// tag/metadata state and translate each request into an [`AccessPlan`];
 /// timing and energy fall out of executing plans against the DRAM models.
-/// Models must also be cheaply cloneable ([`CloneModel`], free with
-/// `#[derive(Clone)]`) so engine state can be checkpointed at interval
-/// boundaries.
-pub trait DramCacheModel: CloneModel {
+pub trait DramCacheModel {
     /// Handles a demand access (a read or write that missed in the L2).
     fn access(&mut self, req: MemAccess) -> AccessPlan;
 

@@ -62,8 +62,8 @@ pub use arena::{PageArena, PageHandle};
 pub use banshee::BansheeCache;
 pub use block::BlockBasedCache;
 pub use design::{
-    sram_latency_cycles, BoxedModel, CloneModel, DensityHistogram, DramCacheModel, DramCacheStats,
-    PredictionCounters, StorageItem,
+    sram_latency_cycles, DensityHistogram, DramCacheModel, DramCacheStats, PredictionCounters,
+    StorageItem,
 };
 pub use gemini::GeminiCache;
 pub use hotpage::HotPageCache;

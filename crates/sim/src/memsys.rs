@@ -120,8 +120,7 @@ impl MemsysTimeline {
 /// A complete pod memory system below the L2.
 #[derive(Clone)]
 pub struct MemorySystem {
-    /// Enum-dispatched on the hot path ([`DesignModel`]); boxed dyn
-    /// models enter through its `Extension` variant.
+    /// Enum-dispatched on the hot path ([`DesignModel`]).
     cache: DesignModel,
     stacked: Option<DramSystem>,
     offchip: DramSystem,
@@ -136,10 +135,8 @@ impl MemorySystem {
     pub const DEFAULT_WINDOW: usize = 64;
 
     /// Assembles a memory system. `stacked` is `None` for the baseline
-    /// (no die-stacked DRAM). Accepts anything convertible into a
-    /// [`DesignModel`]: a concrete model (`FootprintCache::new(cfg)`,
-    /// enum-dispatched) or a [`fc_cache::BoxedModel`] (dyn-dispatched
-    /// through the extension hatch).
+    /// (no die-stacked DRAM). Accepts any concrete model convertible
+    /// into a [`DesignModel`] (`FootprintCache::new(cfg)`).
     pub fn new(
         cache: impl Into<DesignModel>,
         stacked: Option<DramConfig>,
@@ -346,11 +343,7 @@ mod tests {
 
     #[test]
     fn baseline_access_pays_offchip_latency() {
-        let mut m = MemorySystem::new(
-            Box::new(NoCache::new()),
-            None,
-            DramConfig::off_chip_ddr3_1600(),
-        );
+        let mut m = MemorySystem::new(NoCache::new(), None, DramConfig::off_chip_ddr3_1600());
         let done = m.demand_access(read(0x8000), 1000);
         // At least ACT + CAS + burst beyond arrival.
         let t = DramConfig::off_chip_ddr3_1600().timings.to_core_cycles();
@@ -362,7 +355,7 @@ mod tests {
     #[test]
     fn page_hit_is_faster_than_page_miss() {
         let mut m = MemorySystem::new(
-            Box::new(PageBasedCache::new(1 << 20, PageGeometry::new(2048))),
+            PageBasedCache::new(1 << 20, PageGeometry::new(2048)),
             Some(DramConfig::stacked_ddr3_3200()),
             DramConfig::off_chip_open_row(),
         );
@@ -382,11 +375,7 @@ mod tests {
 
     #[test]
     fn writebacks_do_not_return_latency_but_consume_banks() {
-        let mut m = MemorySystem::new(
-            Box::new(NoCache::new()),
-            None,
-            DramConfig::off_chip_ddr3_1600(),
-        );
+        let mut m = MemorySystem::new(NoCache::new(), None, DramConfig::off_chip_ddr3_1600());
         m.writeback(PhysAddr::new(0x9000), 0);
         assert_eq!(m.offchip_stats().write_blocks, 1);
     }
@@ -395,7 +384,7 @@ mod tests {
     fn multi_row_transfer_splits() {
         // A 64-block (4 KB) op must become two row accesses.
         let mut m = MemorySystem::new(
-            Box::new(PageBasedCache::new(1 << 20, PageGeometry::new(4096))),
+            PageBasedCache::new(1 << 20, PageGeometry::new(4096)),
             Some(DramConfig::stacked_ddr3_3200()),
             DramConfig::off_chip_open_row(),
         );
@@ -413,7 +402,7 @@ mod tests {
         // arrive one at a time and never wait in the channel queue
         // behind each other.
         let mut m = MemorySystem::new(
-            Box::new(PageBasedCache::new(1 << 20, PageGeometry::new(4096))),
+            PageBasedCache::new(1 << 20, PageGeometry::new(4096)),
             Some(DramConfig::stacked_ddr3_3200()),
             DramConfig::off_chip_open_row(),
         );
@@ -436,11 +425,7 @@ mod tests {
         // last chunk completes after the first chunk's data is ready,
         // by at least the tail chunks' transfer time.
         use fc_cache::{MemOp, MemTarget, OpFlavor};
-        let mut m = MemorySystem::new(
-            Box::new(NoCache::new()),
-            None,
-            DramConfig::off_chip_open_row(),
-        );
+        let mut m = MemorySystem::new(NoCache::new(), None, DramConfig::off_chip_open_row());
         let op = MemOp {
             target: MemTarget::OffChip,
             addr: PhysAddr::new(0x20000),
@@ -474,7 +459,7 @@ mod tests {
         };
         assert_eq!(wide_rows.row_bytes(), 4096);
         let mut m = MemorySystem::new(
-            Box::new(PageBasedCache::new(1 << 20, PageGeometry::new(4096))),
+            PageBasedCache::new(1 << 20, PageGeometry::new(4096)),
             Some(DramConfig::stacked_ddr3_3200()),
             wide_rows,
         );
@@ -486,12 +471,8 @@ mod tests {
     #[test]
     fn full_window_applies_backpressure() {
         let build = |window| {
-            MemorySystem::new(
-                Box::new(NoCache::new()),
-                None,
-                DramConfig::off_chip_ddr3_1600(),
-            )
-            .with_window(window)
+            MemorySystem::new(NoCache::new(), None, DramConfig::off_chip_ddr3_1600())
+                .with_window(window)
         };
         // Many same-cycle independent misses: with a one-entry window
         // they serialize; with a wide window they overlap across banks.
@@ -514,12 +495,8 @@ mod tests {
 
     #[test]
     fn writebacks_occupy_window_entries() {
-        let mut m = MemorySystem::new(
-            Box::new(NoCache::new()),
-            None,
-            DramConfig::off_chip_ddr3_1600(),
-        )
-        .with_window(1);
+        let mut m = MemorySystem::new(NoCache::new(), None, DramConfig::off_chip_ddr3_1600())
+            .with_window(1);
         m.writeback(PhysAddr::new(0x9000), 0);
         // The demand access behind the writeback stalls on the window.
         m.demand_access(read(0x8000), 0);
@@ -531,7 +508,7 @@ mod tests {
     #[should_panic(expected = "no stacked DRAM")]
     fn stacked_op_without_stacked_dram_panics() {
         let mut m = MemorySystem::new(
-            Box::new(PageBasedCache::new(1 << 20, PageGeometry::new(2048))),
+            PageBasedCache::new(1 << 20, PageGeometry::new(2048)),
             None,
             DramConfig::off_chip_open_row(),
         );

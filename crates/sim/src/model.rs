@@ -1,30 +1,23 @@
 //! [`DesignModel`]: the closed enum over every registry design.
 //!
-//! The detailed hot loop used to reach cache models exclusively through
-//! `Box<dyn DramCacheModel>` — one indirect call per access, per
-//! writeback, per warmup touch. Wrapping the concrete models in an enum
-//! lets the batch loop dispatch via `match`: the compiler monomorphizes
-//! each arm into a direct (often inlined) call, and the memory system
-//! stores the model by value with no pointer chase. The boxed trait
-//! object survives as the [`Extension`](DesignModel::Extension) escape
-//! hatch so out-of-tree models still plug in at registry boundaries —
-//! they simply keep paying the vtable cost the in-tree designs no
-//! longer do.
+//! Wrapping the concrete cache models in an enum lets the detailed hot
+//! loop dispatch via `match`: the compiler monomorphizes each arm into
+//! a direct (often inlined) call, and the memory system stores the
+//! model by value with no pointer chase. A new design adds a variant.
 
 use fc_cache::{
-    AccessPlan, AlloyCache, BansheeCache, BlockBasedCache, BoxedModel, DramCacheModel,
-    DramCacheStats, GeminiCache, HotPageCache, IdealCache, NoCache, PageBasedCache,
-    PredictionCounters, StorageItem, SubBlockCache,
+    AccessPlan, AlloyCache, BansheeCache, BlockBasedCache, DramCacheModel, DramCacheStats,
+    GeminiCache, HotPageCache, IdealCache, NoCache, PageBasedCache, PredictionCounters,
+    StorageItem, SubBlockCache,
 };
 use fc_types::{MemAccess, PhysAddr};
 use footprint_cache::FootprintCache;
 
 /// One DRAM-cache design, enum-dispatched.
 ///
-/// Every in-tree design gets its own variant (match dispatch on the hot
-/// path); anything else enters through [`DesignModel::Extension`] and
-/// keeps dynamic dispatch. Construct variants with the `From` impls —
-/// `FootprintCache::new(config).into()` — or from any boxed model.
+/// Every design gets its own variant (match dispatch on the hot path).
+/// Construct variants with the `From` impls —
+/// `FootprintCache::new(config).into()`.
 #[derive(Clone)]
 pub enum DesignModel {
     /// No DRAM cache (the baseline pod).
@@ -47,9 +40,6 @@ pub enum DesignModel {
     Banshee(BansheeCache),
     /// Gemini-style hybrid-mapped page cache.
     Gemini(GeminiCache),
-    /// Any other [`DramCacheModel`]: the dyn-dispatch escape hatch for
-    /// out-of-tree designs.
-    Extension(BoxedModel),
 }
 
 /// Uniform match dispatch: every variant binds its model as `$m` and
@@ -67,7 +57,6 @@ macro_rules! dispatch {
             DesignModel::Alloy($m) => $body,
             DesignModel::Banshee($m) => $body,
             DesignModel::Gemini($m) => $body,
-            DesignModel::Extension($m) => $body,
         }
     };
 }
@@ -87,7 +76,6 @@ impl DesignModel {
             DesignModel::Alloy(m) => m,
             DesignModel::Banshee(m) => m,
             DesignModel::Gemini(m) => m,
-            DesignModel::Extension(m) => m.as_ref(),
         }
     }
 }
@@ -157,22 +145,6 @@ impl From<FootprintCache> for DesignModel {
     }
 }
 
-impl From<BoxedModel> for DesignModel {
-    fn from(model: BoxedModel) -> Self {
-        DesignModel::Extension(model)
-    }
-}
-
-/// Any boxed concrete model enters through the extension hatch — this
-/// keeps long-standing `MemorySystem::new(Box::new(model), …)` call
-/// sites compiling. In-tree models passed *unboxed* take their enum
-/// variant instead (static dispatch); prefer that on hot paths.
-impl<T: DramCacheModel + Send + Sync + 'static> From<Box<T>> for DesignModel {
-    fn from(model: Box<T>) -> Self {
-        DesignModel::Extension(model)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,30 +152,6 @@ mod tests {
 
     fn read(addr: u64) -> MemAccess {
         MemAccess::read(Pc::new(0x400), PhysAddr::new(addr), 0)
-    }
-
-    #[test]
-    fn enum_and_boxed_dispatch_agree() {
-        let mut as_enum: DesignModel = PageBasedCache::new(1 << 20, PageGeometry::new(2048)).into();
-        let mut as_box: DesignModel = DesignModel::Extension(Box::new(PageBasedCache::new(
-            1 << 20,
-            PageGeometry::new(2048),
-        )));
-        for i in 0..200u64 {
-            let a = as_enum.access(read(i * 0x940));
-            let b = as_box.access(read(i * 0x940));
-            assert_eq!(a, b, "plan diverged at access {i}");
-        }
-        assert_eq!(as_enum.stats(), as_box.stats());
-        assert_eq!(as_enum.name(), as_box.name());
-    }
-
-    #[test]
-    fn boxed_concrete_models_enter_the_extension_hatch() {
-        let model: DesignModel = Box::new(NoCache::new()).into();
-        assert!(matches!(model, DesignModel::Extension(_)));
-        let direct: DesignModel = NoCache::new().into();
-        assert!(matches!(direct, DesignModel::Baseline(_)));
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //!
 //! # Adding a design
 //!
-//! 1. Implement the model in `fc-cache` (a `DramCacheModel`).
+//! 1. Implement the model in `fc-cache` (a `DramCacheModel` that
+//!    derives `Clone`, so checkpoints can copy it).
 //! 2. Add a [`CacheSpec`](crate::CacheSpec) variant and a
 //!    [`DesignSpec`] constructor (with the design's DRAM specs), plus
 //!    its JSON encode/decode arms.
 //! 3. Wire the model into [`DesignModel`](crate::DesignModel)
 //!    (`crates/sim/src/model.rs`): a new variant, a `dispatch!` arm,
-//!    and a `From` impl. The hot loop dispatches registry designs by
-//!    `match`; the `Extension` variant (any boxed `DramCacheModel`)
-//!    is the dynamic-dispatch escape hatch for models that stay
-//!    outside the enum.
+//!    an `as_dyn` arm, and a `From` impl. The hot loop dispatches
+//!    every design by `match`.
 //! 4. Append one [`DesignFamily`] row here.
 //!
 //! Sweeps, the CLI, hashing and the emitters pick the design up with

@@ -9,7 +9,8 @@
 //!   points: cross products of [`DesignSpec`]s and [`WorkloadKind`]s at
 //!   a [`RunScale`], with per-point [`SimConfig`] overrides.
 //! * [`SweepEngine`] — a self-balancing parallel executor: worker
-//!   threads claim points from a shared cursor and run each as an independent
+//!   threads claim points from one shared task queue (the pool every
+//!   grid kind runs on) and run each as an independent
 //!   [`Simulation`](fc_sim::Simulation). Every point's seed is a pure
 //!   function of the point itself, so results are **bit-identical
 //!   regardless of thread count or completion order**.
@@ -66,6 +67,7 @@ mod executor;
 pub mod loaded;
 pub mod mix;
 pub mod monitor;
+mod pool;
 mod progress;
 mod ring;
 pub mod sampled;

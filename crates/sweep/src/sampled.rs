@@ -2,13 +2,13 @@
 //! of a trace-replay grid.
 //!
 //! A [`SampledPoint`] is an ordinary [`SweepPoint`] plus a
-//! [`SamplePlan`]; [`run_sampled_grid`] executes a grid of them with
-//! the same discipline as the detailed executor — self-balancing
-//! shared-cursor workers, per-point seeds that are pure functions of
-//! the point, the shared [`TraceCache`](crate::TraceCache), and
-//! memoization in the engine's sampled [`ResultStore`] (the plan is
+//! [`SamplePlan`]; [`run_sampled_grid_pit`] executes a grid of them
+//! with the same discipline as the detailed executor — the sweep task
+//! pool, per-point seeds that are pure functions of the point, the
+//! shared [`TraceCache`](crate::TraceCache), and memoization in the
+//! engine's sampled [`ResultStore`](crate::ResultStore) (the plan is
 //! folded into the FNV key, so a point sampled under two plans never
-//! aliases). Results are bit-identical for any worker-thread count.
+//! aliases). Results are bit-identical for any worker count.
 //!
 //! Auto plans ([`SampledGrid::auto`]) derive each point's plan from
 //! its run sizing and its design's state memory
@@ -16,9 +16,8 @@
 //! skipping only in the long-trace regime, exhaustive warming when
 //! the trace is too short to skip safely.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use fc_sample::{
     assemble_report, build_base, run_interval, run_sampled, run_sampled_stream, Checkpoint,
@@ -28,6 +27,7 @@ use fc_sim::Simulation;
 use fc_trace::{TraceGenerator, TraceRecord};
 
 use crate::executor::SweepEngine;
+use crate::pool::{self, Job};
 use crate::spec::{SweepPoint, SweepSpec};
 use crate::store::PointKey;
 
@@ -69,6 +69,19 @@ impl SampledPoint {
     /// Stable memoization key for this point (sampled store).
     pub fn key(&self) -> PointKey {
         PointKey::from_canonical(self.canonical())
+    }
+
+    /// Runs this point through the sequential reference driver,
+    /// [`run_sampled`], on a freshly synthesized trace, bypassing the
+    /// task pool, the trace cache and the memo store: the report every
+    /// grid run must reproduce bit for bit.
+    pub fn run_reference(&self) -> SampledReport {
+        let p = &self.point;
+        let records: Vec<TraceRecord> = TraceGenerator::new(p.workload, p.config.cores, p.seed())
+            .take((p.warmup() + p.measured()) as usize)
+            .collect();
+        let mut sim = Simulation::new(p.config, p.design);
+        run_sampled(&mut sim, &records, p.warmup(), p.measured(), &self.plan)
     }
 }
 
@@ -161,118 +174,39 @@ pub struct SampledResult {
     /// Its (possibly memoized) sampled report.
     pub report: Arc<SampledReport>,
     /// Seconds spent obtaining the report (near zero for memoized
-    /// points): one worker's wall clock on the sequential path, the
-    /// summed per-worker busy time for a parallel-in-time point (its
-    /// wall span would mostly measure *other* points interleaved in
-    /// the shared pool). Timing only — never part of the
-    /// deterministic result.
+    /// points): the wall clock of the worker that ran a whole point,
+    /// or the summed per-worker busy time of a point split into
+    /// intervals (its wall span would mostly measure *other* points
+    /// interleaved in the shared pool). Timing only — never part of
+    /// the deterministic result.
     pub sim_secs: f64,
     /// Whether the report came from the sampled memo store.
     pub memoized: bool,
 }
 
-/// Runs every point of `grid` through `engine` (in parallel when the
-/// engine has >1 thread), returning results in grid order. Sampled
-/// reports memoize in the engine's sampled store under keys carrying
-/// the plan; traces come from the engine's shared [`TraceCache`]
-/// (slice path, free skips) with a streaming fallback for runs beyond
-/// the cache budget. Bit-identical for any thread count — the two
-/// trace paths replay identical record sequences.
+/// Runs every point of `grid` through `engine` with the engine's
+/// thread count as the interval worker count; see
+/// [`run_sampled_grid_pit`].
 pub fn run_sampled_grid(grid: &SampledGrid, engine: &SweepEngine) -> Vec<SampledResult> {
-    let points = grid.points();
-    let progress = engine.progress_for(points.len());
-    let slots: Vec<OnceLock<(Arc<SampledReport>, f64, bool)>> =
-        points.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let run_point = |index: usize| {
-        let sp = &points[index];
-        let _point_span = fc_obs::trace::span_with("sampled-point", "sweep", || sp.label());
-        let key = sp.key();
-        let memoized = engine.sampled_store().get(&key).is_some();
-        let started = std::time::Instant::now();
-        let report = engine.sampled_store().get_or_compute(&key, || {
-            let p = &sp.point;
-            let (warmup, measured) = (p.warmup(), p.measured());
-            let mut sim = Simulation::new(p.config, p.design);
-            match engine.trace_cache().records(
-                p.workload,
-                p.config.cores,
-                p.seed(),
-                warmup + measured,
-            ) {
-                Some(records) => run_sampled(&mut sim, &records, warmup, measured, &sp.plan),
-                None => run_sampled_stream(
-                    &mut sim,
-                    TraceGenerator::new(p.workload, p.config.cores, p.seed()),
-                    warmup,
-                    measured,
-                    &sp.plan,
-                ),
-            }
-        });
-        progress.finish_point(&points[index].label(), memoized);
-        (report, started.elapsed().as_secs_f64(), memoized)
-    };
-
-    let workers = engine.threads().clamp(1, points.len().max(1));
-    if workers == 1 {
-        fc_obs::trace::set_lane_name("main");
-        for (index, slot) in slots.iter().enumerate() {
-            slot.set(run_point(index)).expect("slot written once");
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let (run_point, cursor, slots, points) = (&run_point, &cursor, &slots, &points);
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    fc_obs::trace::set_lane_name(&format!("worker-{worker}"));
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= points.len() {
-                            break;
-                        }
-                        slots[index]
-                            .set(run_point(index))
-                            .expect("slot written once");
-                    }
-                    // Explicit: a scoped join may land before TLS
-                    // destructors run, so the buffer drains here.
-                    fc_obs::trace::flush_thread();
-                });
-            }
-        });
-    }
-    progress.finish_run();
-    fc_obs::metrics::counter("sweep.sampled_points").add(points.len() as u64);
-
-    points
-        .iter()
-        .zip(slots)
-        .map(|(point, slot)| {
-            let (report, sim_secs, memoized) = slot.into_inner().expect("every point ran");
-            SampledResult {
-                point: *point,
-                report,
-                sim_secs,
-                memoized,
-            }
-        })
-        .collect()
+    run_sampled_grid_pit(grid, engine, engine.threads())
 }
 
-/// One unit of work in the nested parallel-in-time pool: either a
-/// whole grid point (which may expand into interval tasks) or one
-/// measured period of an already-expanded point.
-enum PitTask {
+/// One task of the sampled grid: a whole grid point (which may expand
+/// into interval tasks), or one measured period of an expanded point.
+enum Task {
     Point(usize),
-    Interval { point: usize, k: u64 },
+    Interval {
+        point: usize,
+        k: u64,
+        work: Arc<PointWork>,
+    },
 }
 
 /// Shared state of a point that expanded into interval tasks: the base
 /// checkpoint every period restores, the point's trace slice (one
 /// synthesis, shared by every worker via `Arc`), the per-period result
-/// slots, and the countdown that elects the aggregating worker.
+/// slots, and the countdown that elects the aggregating worker. Freed
+/// when its last interval task ends.
 struct PointWork {
     base: Checkpoint,
     records: Arc<Vec<TraceRecord>>,
@@ -283,24 +217,27 @@ struct PointWork {
     /// expansion to completion — becomes the point's `sim_secs`:
     /// interval tasks of *different* points interleave in one pool, so
     /// a point's wall span mostly measures other points' work. Busy
-    /// time keeps per-point costs comparable with the sequential
-    /// executor's (equal on one core, and a work measure on many).
-    busy_nanos: std::sync::atomic::AtomicU64,
+    /// time keeps per-point costs comparable at any worker count
+    /// (equal to wall time on one worker, and a work measure on many).
+    busy_nanos: AtomicU64,
 }
 
-/// Runs every point of `grid` with **parallel-in-time** dispatch:
-/// points *and* their measured periods drain from one shared pool, so
-/// a single long point keeps every worker busy instead of one. Points
-/// whose plan cannot be split (exhaustive plans carry state through
-/// the whole region) and points beyond the trace-cache budget
-/// (workers need random access into the slice) run sequentially
-/// inside the pool, so the result always covers the whole grid.
+/// Runs every point of `grid` with **parallel-in-time** dispatch on
+/// `workers` workers: points *and* their measured periods drain from
+/// one task pool, so a single long point keeps every worker busy
+/// instead of one. Points whose plan cannot be split (exhaustive plans
+/// carry state through the whole region) and points beyond the
+/// trace-cache budget (workers need random access into the slice) run
+/// whole on one worker through [`run_sampled`] or
+/// [`run_sampled_stream`], so the result always covers the whole grid.
 ///
-/// Reports are **bit-identical** to [`run_sampled_grid`]'s for every
-/// `workers` count: interval samples merge in plan order through the
-/// same aggregation, and both paths compute the same pure per-period
-/// function from the same base checkpoint. Memoization therefore
-/// shares one store with the sequential path.
+/// Reports are **bit-identical** to [`run_sampled`]'s for every
+/// `workers` count: a split point's interval samples merge in plan
+/// order through the same aggregation, and each period is the same
+/// pure function of the same base checkpoint that the sequential
+/// driver computes. Sampled reports memoize in the engine's sampled
+/// store under keys carrying the plan; traces come from the engine's
+/// shared [`TraceCache`](crate::TraceCache).
 pub fn run_sampled_grid_pit(
     grid: &SampledGrid,
     engine: &SweepEngine,
@@ -308,37 +245,19 @@ pub fn run_sampled_grid_pit(
 ) -> Vec<SampledResult> {
     let points = grid.points();
     let progress = engine.progress_for(points.len());
-    let final_slots: Vec<OnceLock<(Arc<SampledReport>, f64, bool)>> =
-        points.iter().map(|_| OnceLock::new()).collect();
-    let works: Vec<OnceLock<PointWork>> = points.iter().map(|_| OnceLock::new()).collect();
-    let queue: Mutex<VecDeque<PitTask>> =
-        Mutex::new((0..points.len()).map(PitTask::Point).collect());
-    let ready = Condvar::new();
-    let pending = AtomicUsize::new(points.len());
-
-    // Finishing a point: record its result, tick progress, and wake
-    // any workers parked on an empty queue once the last point lands.
-    // The wakeup must happen while holding the queue lock — a worker
-    // checks "queue empty && pending > 0" under that lock before
-    // waiting, so notifying under it cannot race with the check.
-    let finish = |index: usize, report: Arc<SampledReport>, secs: f64, memoized: bool| {
-        final_slots[index]
-            .set((report, secs, memoized))
-            .expect("point finished once");
+    type Outcome = (Arc<SampledReport>, f64, bool);
+    let finish = |job: &Job<Task, Outcome>, index: usize, report, secs, memoized| {
         progress.finish_point(&points[index].label(), memoized);
-        if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = queue.lock().expect("pit queue");
-            ready.notify_all();
-        }
+        job.finish(index, (report, secs, memoized));
     };
 
-    let run_point = |index: usize| {
+    let run_point = |index: usize, job: &Job<Task, Outcome>| {
         let sp = &points[index];
         let _point_span = fc_obs::trace::span_with("sampled-point", "sweep", || sp.label());
         let key = sp.key();
         let started = std::time::Instant::now();
         if let Some(report) = engine.sampled_store().get(&key) {
-            finish(index, report, started.elapsed().as_secs_f64(), true);
+            finish(job, index, report, started.elapsed().as_secs_f64(), true);
             return;
         }
         let p = &sp.point;
@@ -355,23 +274,21 @@ pub fn run_sampled_grid_pit(
                 let mut sim = Simulation::new(p.config, p.design);
                 let base = build_base(&mut sim, &records, warmup, measured, &sp.plan);
                 fc_obs::metrics::counter("pit.intervals_dispatched").add(periods);
-                let work = PointWork {
+                let work = Arc::new(PointWork {
                     base,
                     records,
                     slots: (0..periods).map(|_| OnceLock::new()).collect(),
                     remaining: AtomicUsize::new(periods as usize),
-                    busy_nanos: std::sync::atomic::AtomicU64::new(
-                        started.elapsed().as_nanos() as u64
-                    ),
-                };
-                assert!(works[index].set(work).is_ok(), "point expanded once");
-                let mut q = queue.lock().expect("pit queue");
-                q.extend((0..periods).map(|k| PitTask::Interval { point: index, k }));
-                ready.notify_all();
+                    busy_nanos: AtomicU64::new(started.elapsed().as_nanos() as u64),
+                });
+                job.push((0..periods).map(|k| Task::Interval {
+                    point: index,
+                    k,
+                    work: Arc::clone(&work),
+                }));
             }
             // Unsplittable (continuous plan, streaming fallback, or a
-            // degenerate region): run the whole point on this worker,
-            // exactly as the sequential grid executor would.
+            // degenerate region): run the whole point on this worker.
             records => {
                 let report = engine.sampled_store().get_or_compute(&key, || {
                     let mut sim = Simulation::new(p.config, p.design);
@@ -388,14 +305,13 @@ pub fn run_sampled_grid_pit(
                         ),
                     }
                 });
-                finish(index, report, started.elapsed().as_secs_f64(), false);
+                finish(job, index, report, started.elapsed().as_secs_f64(), false);
             }
         }
     };
 
-    let run_interval_task = |index: usize, k: u64| {
+    let run_interval_task = |index: usize, k: u64, work: &PointWork, job: &Job<Task, Outcome>| {
         let sp = &points[index];
-        let work = works[index].get().expect("point expanded before intervals");
         let started = std::time::Instant::now();
         let sample = run_interval(
             &work.base,
@@ -423,58 +339,32 @@ pub fn run_sampled_grid_pit(
                 assemble_report(&sp.plan, sp.point.warmup(), sp.point.measured(), intervals)
             });
             let secs = work.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-            finish(index, report, secs, false);
+            finish(job, index, report, secs, false);
         }
     };
 
-    // No upper clamp against the point count: one point can fan out
-    // into many interval tasks, so more workers than points is useful.
-    let worker_count = workers.max(1);
-    std::thread::scope(|scope| {
-        let (run_point, run_interval_task, queue, ready, pending) =
-            (&run_point, &run_interval_task, &queue, &ready, &pending);
-        for worker in 0..worker_count {
-            scope.spawn(move || {
-                fc_obs::trace::set_lane_name(&format!("worker-{worker}"));
-                loop {
-                    let task = {
-                        let mut q = queue.lock().expect("pit queue");
-                        loop {
-                            if let Some(task) = q.pop_front() {
-                                break Some(task);
-                            }
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break None;
-                            }
-                            q = ready.wait(q).expect("pit queue");
-                        }
-                    };
-                    match task {
-                        Some(PitTask::Point(index)) => run_point(index),
-                        Some(PitTask::Interval { point, k }) => run_interval_task(point, k),
-                        None => break,
-                    }
-                }
-                // Explicit: a scoped join may land before TLS
-                // destructors run, so the trace buffer drains here.
-                fc_obs::trace::flush_thread();
-            });
-        }
-    });
+    // No clamp against the point count: one point can fan out into
+    // many interval tasks, so more workers than points is useful.
+    let outcomes = pool::run(
+        workers,
+        points.len(),
+        (0..points.len()).map(Task::Point).collect(),
+        |task, job| match task {
+            Task::Point(index) => run_point(index, job),
+            Task::Interval { point, k, work } => run_interval_task(point, k, &work, job),
+        },
+    );
     progress.finish_run();
     fc_obs::metrics::counter("sweep.sampled_points").add(points.len() as u64);
 
     points
         .iter()
-        .zip(final_slots)
-        .map(|(point, slot)| {
-            let (report, sim_secs, memoized) = slot.into_inner().expect("every point ran");
-            SampledResult {
-                point: *point,
-                report,
-                sim_secs,
-                memoized,
-            }
+        .zip(outcomes)
+        .map(|(point, (report, sim_secs, memoized))| SampledResult {
+            point: *point,
+            report,
+            sim_secs,
+            memoized,
         })
         .collect()
 }
@@ -494,6 +384,21 @@ mod tests {
         SampledGrid::with_plan(&spec, SamplePlan::exhaustive(500, 100, 100))
     }
 
+    /// Asserts every result equals the sequential reference driver's
+    /// report for its point, replayed from a fresh generator.
+    fn assert_matches_reference(grid: &SampledGrid, results: &[SampledResult], what: &str) {
+        assert_eq!(results.len(), grid.len());
+        for (sp, r) in grid.points().iter().zip(results) {
+            assert_eq!(*sp, r.point);
+            assert_eq!(
+                *r.report,
+                sp.run_reference(),
+                "{} diverged ({what})",
+                sp.label()
+            );
+        }
+    }
+
     #[test]
     fn sampled_grid_covers_spec_in_order() {
         let grid = tiny_grid();
@@ -509,11 +414,10 @@ mod tests {
     #[test]
     fn sampled_grid_is_thread_count_independent() {
         let grid = tiny_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-        let par = run_sampled_grid(&grid, &SweepEngine::new().with_threads(4).quiet());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.point, b.point);
-            assert_eq!(*a.report, *b.report, "{} diverged", a.point.label());
+        for threads in [1, 4] {
+            let results =
+                run_sampled_grid(&grid, &SweepEngine::new().with_threads(threads).quiet());
+            assert_matches_reference(&grid, &results, &format!("{threads} threads"));
         }
     }
 
@@ -538,7 +442,6 @@ mod tests {
     #[test]
     fn streaming_fallback_is_bit_identical() {
         let grid = tiny_grid();
-        let cached = run_sampled_grid(&grid, &SweepEngine::new().with_threads(2).quiet());
         let streamed = run_sampled_grid(
             &grid,
             &SweepEngine::new()
@@ -546,14 +449,11 @@ mod tests {
                 .with_trace_budget(0)
                 .quiet(),
         );
-        for (a, b) in cached.iter().zip(&streamed) {
-            assert_eq!(*a.report, *b.report, "{}", a.point.label());
-        }
+        assert_matches_reference(&grid, &streamed, "streamed");
     }
 
     // A grid whose plans actually skip (period 1000, fw 200, dw 100,
-    // interval 100 → skip 600), so the PIT path expands points into
-    // interval tasks instead of delegating.
+    // interval 100 → skip 600), so points expand into interval tasks.
     fn skipping_grid() -> SampledGrid {
         let spec = SweepSpec::new(RunScale::tiny()).grid(
             &[WorkloadKind::WebSearch, WorkloadKind::DataServing],
@@ -568,31 +468,19 @@ mod tests {
     #[test]
     fn pit_grid_is_bit_identical_to_sequential_at_any_worker_count() {
         let grid = skipping_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
         for workers in [1, 2, 5, 9] {
             let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().quiet(), workers);
-            for (a, b) in seq.iter().zip(&pit) {
-                assert_eq!(a.point, b.point);
-                assert_eq!(
-                    *a.report,
-                    *b.report,
-                    "{} diverged at {workers} workers",
-                    a.point.label()
-                );
-            }
+            assert_matches_reference(&grid, &pit, &format!("{workers} workers"));
         }
     }
 
     #[test]
     fn pit_grid_handles_unsplittable_points_in_pool() {
-        // Exhaustive plans can't split in time; the PIT pool must run
-        // them sequentially and still match the plain executor.
+        // Exhaustive plans can't split in time; the pool must run them
+        // whole and still match the sequential driver.
         let grid = tiny_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
         let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().quiet(), 4);
-        for (a, b) in seq.iter().zip(&pit) {
-            assert_eq!(*a.report, *b.report, "{}", a.point.label());
-        }
+        assert_matches_reference(&grid, &pit, "4 workers");
     }
 
     #[test]
@@ -600,7 +488,7 @@ mod tests {
         let grid = skipping_grid();
         // Interval tasks must reuse the point's Arc'd slice, never
         // re-synthesize: fanning out across workers synthesizes
-        // exactly as many records as a lone sequential worker.
+        // exactly as many records as a lone worker.
         let seq_engine = SweepEngine::new().with_threads(1).quiet();
         run_sampled_grid(&grid, &seq_engine);
         let pit_engine = SweepEngine::new().quiet();
@@ -618,14 +506,14 @@ mod tests {
         let engine = SweepEngine::new().quiet();
         let first = run_sampled_grid_pit(&grid, &engine, 4);
         assert_eq!(engine.sampled_store().computed(), 4);
-        // Second PIT run: every point short-circuits on the memo.
+        // Second run: every point short-circuits on the memo.
         let again = run_sampled_grid_pit(&grid, &engine, 4);
         assert_eq!(engine.sampled_store().computed(), 4);
         assert!(again.iter().all(|r| r.memoized));
-        // The sequential path reads the same store — same keys.
-        let seq = run_sampled_grid(&grid, &engine);
+        // Another worker count reads the same store — same keys.
+        let one = run_sampled_grid_pit(&grid, &engine, 1);
         assert_eq!(engine.sampled_store().computed(), 4);
-        for (a, b) in first.iter().zip(&seq) {
+        for (a, b) in first.iter().zip(&one) {
             assert!(Arc::ptr_eq(&a.report, &b.report));
         }
     }
@@ -633,11 +521,8 @@ mod tests {
     #[test]
     fn pit_grid_streaming_fallback_covers_the_grid() {
         let grid = skipping_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
         let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().with_trace_budget(0).quiet(), 4);
-        for (a, b) in seq.iter().zip(&pit) {
-            assert_eq!(*a.report, *b.report, "{}", a.point.label());
-        }
+        assert_matches_reference(&grid, &pit, "streamed, 4 workers");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! out shared slices, falling back to streaming synthesis for runs
 //! whose record budget would not fit in memory.
 //!
-//! Memory is bounded twice: a per-entry budget (requests beyond it
-//! stream instead of caching) and an aggregate budget across entries
-//! (least-recently-used streams are evicted once the sweep moves on to
-//! other workloads; in-flight readers keep their `Arc` until they
-//! finish, so eviction never invalidates a running simulation).
+//! Memory is bounded three times: a per-entry budget (requests beyond
+//! it stream instead of caching), an aggregate record budget across
+//! entries, and a cap on resident entries (each entry also keeps its
+//! generator's state, which outweighs the records of a short run).
+//! Least-recently-used streams are evicted once the sweep moves on to
+//! other workloads or seeds; in-flight readers keep their `Arc` until
+//! they finish, so eviction never invalidates a running simulation.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,6 +62,11 @@ impl TraceCache {
     /// evicted and re-synthesized if ever needed again.
     pub const DEFAULT_AGGREGATE_BUDGET: usize = 3 * Self::DEFAULT_BUDGET;
 
+    /// Most entries resident at once: one seed of every workload, so no
+    /// stock grid (one seed per workload) evicts, while a long-running
+    /// server that sees a new seed per request keeps a bounded set.
+    pub const MAX_ENTRIES: usize = WorkloadKind::ALL.len();
+
     /// A cache storing at most `budget_records` records per entry;
     /// longer requests return `None` (callers stream-synthesize).
     pub fn new(budget_records: usize) -> Self {
@@ -96,12 +103,14 @@ impl TraceCache {
             index.clock += 1;
             let stamp = index.clock;
             index.last_use.insert(key, stamp);
-            Arc::clone(index.entries.entry(key).or_insert_with(|| {
+            let entry = Arc::clone(index.entries.entry(key).or_insert_with(|| {
                 Arc::new(Mutex::new(CachedTrace {
                     generator: TraceGenerator::new(workload, cores, seed),
                     records: Arc::new(Vec::new()),
                 }))
-            }))
+            }));
+            self.evict(&mut index, key);
+            entry
         };
         let mut cached = entry.lock().expect("trace cache entry");
         if cached.records.len() < len {
@@ -130,19 +139,26 @@ impl TraceCache {
         }
     }
 
-    /// Records `key`'s new size and evicts least-recently-used *other*
-    /// entries while the aggregate exceeds the budget. Only the index
-    /// lock is taken, so this cannot deadlock against entry locks; a
-    /// removed entry's storage is freed when its last reader drops.
+    /// Records `key`'s new size and evicts to fit the budgets.
     fn note_size_and_evict(&self, key: EntryKey, new_len: usize) {
         let mut index = self.index.lock().expect("trace cache index");
         index.sizes.insert(key, new_len);
+        self.evict(&mut index, key);
+    }
+
+    /// Evicts least-recently-used entries other than `keep` while the
+    /// aggregate exceeds the record budget or more than
+    /// [`MAX_ENTRIES`](Self::MAX_ENTRIES) entries are resident. Runs
+    /// under the index lock only, so it cannot deadlock against entry
+    /// locks; a removed entry's storage is freed when its last reader
+    /// drops.
+    fn evict(&self, index: &mut Index, keep: EntryKey) {
         let mut total: usize = index.sizes.values().sum();
-        while total > self.aggregate_budget_records {
+        while total > self.aggregate_budget_records || index.entries.len() > Self::MAX_ENTRIES {
             let victim = index
                 .entries
                 .keys()
-                .filter(|k| **k != key)
+                .filter(|k| **k != keep)
                 .min_by_key(|k| index.last_use.get(*k).copied().unwrap_or(0))
                 .copied();
             let Some(victim) = victim else {
@@ -248,6 +264,32 @@ mod tests {
         let again = cache.records(WorkloadKind::WebSearch, 4, 1, 50).unwrap();
         let fresh: Vec<_> = TraceGenerator::new(WorkloadKind::WebSearch, 4, 1)
             .take(50)
+            .collect();
+        assert_eq!(&again[..], &fresh[..]);
+    }
+
+    #[test]
+    fn resident_entries_are_capped() {
+        let cache = TraceCache::new(10_000);
+        for seed in 0..64 {
+            cache
+                .records(WorkloadKind::WebSearch, 4, seed, 100)
+                .unwrap();
+            let resident = cache.index.lock().unwrap().entries.len();
+            assert!(resident <= TraceCache::MAX_ENTRIES, "{resident} entries");
+        }
+        assert_eq!(
+            cache.resident_records(),
+            TraceCache::MAX_ENTRIES * 100,
+            "evicted entries hold no records"
+        );
+
+        // Seed 0 was evicted long ago; it re-synthesizes identically.
+        let synthesized = cache.records_synthesized();
+        let again = cache.records(WorkloadKind::WebSearch, 4, 0, 100).unwrap();
+        assert_eq!(cache.records_synthesized(), synthesized + 100);
+        let fresh: Vec<_> = TraceGenerator::new(WorkloadKind::WebSearch, 4, 0)
+            .take(100)
             .collect();
         assert_eq!(&again[..], &fresh[..]);
     }

@@ -59,17 +59,16 @@ fn tracing_never_changes_results() {
 
     // The sampled twin: same guarantee through the interval sampler.
     let grid = SampledGrid::with_plan(&spec, SamplePlan::exhaustive(500, 100, 100));
-    let plain = run_sampled_grid(&grid, &SweepEngine::new().with_threads(2).quiet());
     trace::enable();
     let traced = run_sampled_grid(&grid, &SweepEngine::new().with_threads(2).quiet());
     trace::disable();
     let _ = trace::take_events();
-    for (a, b) in plain.iter().zip(&traced) {
+    for (sp, r) in grid.points().iter().zip(&traced) {
         assert_eq!(
-            *a.report,
-            *b.report,
+            *r.report,
+            sp.run_reference(),
             "{}: tracing perturbed the sampled report",
-            a.point.label()
+            sp.label()
         );
     }
 }
@@ -130,7 +129,7 @@ fn chrome_trace_is_valid_and_structured() {
         );
     }
     // A 4-worker run uses at least two distinct named lanes (workers
-    // race on the cursor, so demanding all four would be flaky).
+    // race on the task queue, so demanding all four would be flaky).
     let lanes: std::collections::BTreeSet<u64> = events
         .iter()
         .filter(|e| e.ph == "X")

@@ -1,11 +1,12 @@
 //! Acceptance tests of the parallel-in-time sampled-simulation layer
-//! (`fc_sample::run_sampled_pit` + the sweep layer's interval-level
-//! dispatcher):
+//! (`fc_sample`'s checkpointed building blocks + the sweep layer's
+//! interval-level dispatch in its task pool):
 //!
 //! * **Bit-equality** — for every design family in the registry, on
 //!   two workloads, a sampled grid dispatched interval-by-interval
-//!   across worker threads is bit-identical to the sequential run at
-//!   any worker count.
+//!   across worker threads is bit-identical, point by point, to the
+//!   sequential reference driver `fc_sample::run_sampled` at any
+//!   worker count.
 //! * **Checkpoint transparency** — a checkpoint capture/restore
 //!   round-trip at a functional-replay boundary is invisible: the
 //!   continued run matches an uninterrupted one bit for bit
@@ -23,8 +24,8 @@
 use fc_sim::registry::DESIGN_FAMILIES;
 use fc_sim::{ReportSnapshot, SimReport, Simulation};
 use fc_sweep::{
-    run_sampled_grid, run_sampled_grid_pit, DesignSpec, RunScale, SamplePlan, SampledGrid,
-    SimConfig, SweepEngine, SweepSpec, WorkloadKind,
+    run_sampled_grid_pit, DesignSpec, RunScale, SamplePlan, SampledGrid, SimConfig, SweepEngine,
+    SweepSpec, WorkloadKind,
 };
 use fc_trace::{TraceGenerator, TraceRecord};
 use proptest::prelude::*;
@@ -52,21 +53,21 @@ fn pit_grids_are_bit_identical_for_every_design_family() {
         )
         .dedup();
     let grid = SampledGrid::with_plan(&spec, skipping_plan());
-    let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-    assert_eq!(seq.len(), grid.len());
+    let reference: Vec<_> = grid.points().iter().map(|sp| sp.run_reference()).collect();
     assert!(
-        seq.iter().all(|r| r.report.plan.skip() > 0),
+        reference.iter().all(|r| r.plan.skip() > 0),
         "the plan must skip, or nothing splits in time"
     );
-    for workers in [2, 6] {
+    for workers in [1, 2, 6] {
         let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().with_threads(1).quiet(), workers);
-        for (a, b) in seq.iter().zip(&pit) {
-            assert_eq!(a.point, b.point, "result order must match grid order");
+        assert_eq!(pit.len(), grid.len());
+        for ((sp, expected), got) in grid.points().iter().zip(&reference).zip(&pit) {
+            assert_eq!(*sp, got.point, "result order must match grid order");
             assert_eq!(
-                *a.report,
-                *b.report,
-                "{}: {workers}-worker parallel-in-time run diverged from sequential",
-                a.point.label()
+                *got.report,
+                *expected,
+                "{}: {workers}-worker parallel-in-time run diverged from the reference driver",
+                sp.label()
             );
         }
     }

@@ -13,9 +13,10 @@
 //!   most a fifth of the records across the design space, the
 //!   deterministic bound behind the ≥5x end-to-end speedup
 //!   `BENCH_sample.json` demonstrates.
-//! * **Determinism** — sampled grids are bit-identical for any worker
-//!   thread count, and the streaming trace path matches the cached
-//!   slice path bit for bit.
+//! * **Determinism** — at any worker thread count, and on both the
+//!   cached slice path and the streaming trace path, every sampled
+//!   point is bit-identical to the sequential reference driver
+//!   `fc_sample::run_sampled`.
 //!
 //! Everything here is deterministic: fixed seeds, fixed plans, no
 //! wall-clock assertions.
@@ -150,18 +151,19 @@ fn sampled_grid_is_bit_identical_for_any_thread_count() {
         ],
     );
     let grid = SampledGrid::with_plan(&spec, SamplePlan::exhaustive(500, 100, 100));
-    let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-    let par = run_sampled_grid(&grid, &SweepEngine::new().with_threads(4).quiet());
-    assert_eq!(seq.len(), grid.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.point, b.point, "result order must match grid order");
-        assert_eq!(
-            *a.report,
-            *b.report,
-            "{}: parallel sampled run diverged from sequential",
-            a.point.label()
-        );
-        assert!(a.report.ipc.mean > 0.0);
+    for threads in [1, 4] {
+        let results = run_sampled_grid(&grid, &SweepEngine::new().with_threads(threads).quiet());
+        assert_eq!(results.len(), grid.len());
+        for (sp, r) in grid.points().iter().zip(&results) {
+            assert_eq!(*sp, r.point, "result order must match grid order");
+            assert_eq!(
+                *r.report,
+                sp.run_reference(),
+                "{}: {threads}-thread sampled run diverged from the reference driver",
+                sp.label()
+            );
+            assert!(r.report.ipc.mean > 0.0);
+        }
     }
 }
 
@@ -182,6 +184,8 @@ fn streaming_and_cached_trace_paths_agree_bit_for_bit() {
             .with_trace_budget(0)
             .quiet(),
     );
-    assert_eq!(*cached[0].report, *streamed[0].report);
-    assert!(cached[0].report.plan.skip() > 0, "plan must actually skip");
+    let reference = grid.points()[0].run_reference();
+    assert_eq!(*cached[0].report, reference);
+    assert_eq!(*streamed[0].report, reference);
+    assert!(reference.plan.skip() > 0, "plan must actually skip");
 }
